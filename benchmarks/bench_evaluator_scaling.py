@@ -6,9 +6,10 @@ evaluation on increasingly large CyberShake instances (the widest family) and
 on long chains (the deepest recovery structures), which is the cost that
 drives the checkpoint-count search of every heuristic.
 
-It also compares the two evaluation backends (pure-Python reference vs the
-NumPy fast path of ``repro.core.evaluator_np``) and records the result as a
-JSON file, so later PRs have a perf trajectory to regress against:
+It also compares the pure-Python reference against the NumPy backend (the
+incremental engine of ``repro.core.sweep``, where a one-shot evaluation is a
+sweep of length one) and records the result as a JSON file, so later
+changes have a perf trajectory to regress against:
 
 * ``pytest benchmarks/bench_evaluator_scaling.py`` runs the comparison at
   n ∈ {50, 100, 250, 500} and writes ``benchmark_results/evaluator_backends.json``
@@ -284,14 +285,20 @@ def main(argv=None) -> int:
 
 
 def test_lost_work_dominates_cost(benchmark):
-    """The lost-work arrays can be reused across platforms: measure the split."""
+    """The lost-work arrays can be reused across platforms: measure the split.
+
+    A caller-supplied ``lost_work`` is always evaluated by the python
+    reference, so the backend is named explicitly.
+    """
     from repro import compute_lost_work
 
     schedule = _cybershake_schedule(150)
     lost_work = compute_lost_work(schedule)
 
     def evaluate_with_precomputed():
-        return evaluate_schedule(schedule, PLATFORM, lost_work=lost_work)
+        return evaluate_schedule(
+            schedule, PLATFORM, lost_work=lost_work, backend="python"
+        )
 
     evaluation = benchmark(evaluate_with_precomputed)
     assert evaluation.expected_makespan > 0

@@ -19,8 +19,11 @@ This benchmark times both sweep shapes end to end on the CyberShake family
 
 The eager baseline reproduces the pre-sweep ``batch_evaluate`` loop (shared
 position tables, full Algorithm-1 fill and full Theorem-3 kernel per
-candidate).  Timings are phase-split (Algorithm-1 loss fill vs Theorem-3
-kernel vs bookkeeping overhead) through ``SweepState(profile=True)``.
+candidate).  It carries its own copy of the pre-sweep candidate pruning and
+vectorized Theorem-3 kernel, so it is also an independent reference for the
+1e-9 agreement check.  Timings are phase-split (Algorithm-1 loss fill vs
+Theorem-3 kernel vs bookkeeping overhead) through
+``SweepState(profile=True)``.
 
 * ``pytest benchmarks/bench_sweep_incremental.py`` runs n ∈ {100, 250, 500}
   and writes ``benchmark_results/sweep_incremental.json`` (override with
@@ -38,10 +41,11 @@ import json
 import math
 import os
 from pathlib import Path
+from typing import Any, Sequence
 
 from repro import Platform
 from repro.core.evaluator_native import native_available
-from repro.core.evaluator_np import _candidate_lists, _theorem3_kernel
+from repro.core.expectation import OVERFLOW_EXPONENT
 from repro.core.lost_work import _position_tables
 from repro.core.sweep import SweepState
 from repro.heuristics import checkpoint_by_weight, linearize
@@ -85,6 +89,171 @@ def _local_search_round_sets(workflow, order) -> list[frozenset[int]]:
     position = {task: pos for pos, task in enumerate(order)}
     tasks = sorted(range(workflow.n_tasks), key=lambda t: -position[t])
     return [base ^ frozenset({task}) for task in tasks]
+
+
+#: Exposure threshold below which Equation (1) returns the failure-free
+#: duration — mirrors the guard in ``expected_execution_time`` exactly.
+_SMALL_EXPOSURE = 1e-12
+
+
+# ----------------------------------------------------------------------
+# Pre-sweep reference: candidate pruning + one-shot vectorized kernel
+# ----------------------------------------------------------------------
+def _candidate_lists(n: int, predecessors: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """For every ``k``, the positions ``i >= k`` that can charge anything.
+
+    A failure during :math:`X_k` costs something at position ``i`` only if the
+    traversal from ``T_i`` reaches below ``k`` — which requires a *direct*
+    predecessor at a position ``< k``.  Position ``i`` therefore matters
+    exactly for ``k`` in ``(min_pred[i], i]``; everything else is a
+    structural zero.
+    """
+    cands: list[list[int]] = [[] for _ in range(n + 2)]
+    for i in range(1, n + 1):
+        preds = predecessors[i]
+        if not preds:
+            continue
+        for k in range(preds[0] + 1, i + 1):
+            cands[k].append(i)
+    return cands
+
+
+def _theorem3_kernel(
+    np: Any,
+    weights: Any,
+    ckpt_costs: Any,
+    loss: Any,
+    lam: float,
+    downtime: float,
+    keep_probabilities: bool,
+) -> tuple[list[float], list[tuple[float, ...]] | None]:
+    """Vectorized Theorem-3 recursion.
+
+    Parameters
+    ----------
+    np:
+        The numpy module (threaded through to keep the import lazy).
+    weights, ckpt_costs:
+        ``(n,)`` float64 vectors in position order (0-based); ``ckpt_costs``
+        is already masked to zero for non-checkpointed positions.
+    loss:
+        ``(n+1, n+1)`` float64 matrix, ``loss[k, i] = W^i_k + R^i_k``.
+    lam, downtime:
+        Platform failure rate (must be > 0 here) and constant downtime.
+
+    Returns
+    -------
+    (expected_times, probabilities)
+        Per-position expectations as a float list, and the per-position
+        ``P(Z^i_k)`` tuples when requested (else ``None``).
+    """
+    n = weights.shape[0]
+
+    # ------------------------------------------------------------------
+    # Property [C] via Equation (1), for all pairs at once.  Column i-1
+    # holds E[X_i | Z^i_k] for every k (rows k > i-1 are unused garbage —
+    # they stay finite, so they cannot poison the reductions below).
+    #   redo = W^i_k + R^i_k,   w = redo + w_i,   c = c_i,
+    #   rec  = (W^i_i + R^i_i) - redo.
+    # ------------------------------------------------------------------
+    sub = loss[:, 1:]                           # (n+1, n): loss[k][i], i = 1..n
+    diagonal = loss.diagonal()[1:]              # loss[i][i]
+    with np.errstate(over="ignore"):            # saturation to inf is intended
+        exposure = lam * (sub + (weights + ckpt_costs))
+        grown = np.expm1(np.minimum(exposure, OVERFLOW_EXPONENT))
+        rec_exposure = lam * np.maximum(diagonal - sub, 0.0)
+        values = np.exp(np.minimum(rec_exposure, OVERFLOW_EXPONENT)) * (
+            grown / lam + downtime * grown
+        )
+    overflow = (exposure > OVERFLOW_EXPONENT) | (rec_exposure > OVERFLOW_EXPONENT)
+    if overflow.any():
+        values[overflow] = np.inf
+    tiny = exposure < _SMALL_EXPOSURE
+    if tiny.any():
+        # Negligible failure probability: Equation (1) degenerates to the
+        # failure-free duration w + c, exactly as in the scalar reference.
+        failure_free = sub + (weights + ckpt_costs)
+        values[tiny] = failure_free[tiny]
+    # Saturation must be detected on the *computed* values, not just the
+    # exponent guards: the product can overflow to inf on its own (e.g.
+    # exp(695) / lam for a tiny lam) and an unmasked dot product would then
+    # turn P = 0 events into 0 * inf = NaN where the reference returns inf.
+    saturated = bool(np.isinf(values).any())
+
+    # ------------------------------------------------------------------
+    # Properties [A] and [B]: the sequential probability recursion.
+    # ------------------------------------------------------------------
+    # The sequential loop reads one *column* of ``values`` / ``loss`` per
+    # position; transpose both once so those reads are contiguous.
+    values_t = np.ascontiguousarray(values.T)   # values_t[i-1, k] = E[X_i|Z^i_k]
+    neg_loss_t = np.ascontiguousarray(loss.T)   # neg_loss_t[i, k] = -lam*loss[k][i]
+    neg_loss_t *= -lam
+    neg_terms = (weights + ckpt_costs) * -lam   # -lam * (w_j + delta_j c_j)
+
+    # base[k] = P(Z^{k+1}_k), the fault probability of interval X_k (k >= 1);
+    # base[0] = 1 is the "no failure yet" convention of property [A].
+    base = np.zeros(n)
+    base[0] = 1.0
+    # running[k] = -lam * sum_{j=k+1}^{i-1} (W^j_k + R^j_k + w_j + delta_j c_j),
+    # advanced by one vector add per position.  The sums are kept pre-scaled
+    # by -lam so the loop body computes P(Z^i_k) with a single np.exp — the
+    # terms are scaled up front (neg_loss_t / neg_terms below), which is the
+    # same accumulation the sweep engine's resumable kernel performs.
+    running = np.zeros(n + 1)
+    # The running sums are bounded by the total of the per-position terms
+    # (T↓k_i ⊆ T↓i_i), so when even that bound stays under the guard, the
+    # per-iteration saturation checks can be skipped wholesale.  The 1.0
+    # margin dwarfs any accumulated rounding in the bound itself.
+    with np.errstate(over="ignore"):
+        exponent_bound = lam * float((diagonal + weights + ckpt_costs).sum())
+    may_clip = not exponent_bound <= OVERFLOW_EXPONENT - 1.0
+    expected_times: list[float] = []
+    probabilities: list[tuple[float, ...]] | None = [] if keep_probabilities else None
+
+    probs_buf = np.empty(n)
+    for i in range(1, n + 1):
+        m = i - 1
+        probs = probs_buf[:i]
+        if m:
+            head = probs[:m]
+            np.exp(running[:m], out=head)
+            head *= base[:m]
+            if may_clip:
+                # Saturate at the shared guard so both backends zero out the
+                # same (astronomically unlikely) events.
+                clipped = running[:m] < -OVERFLOW_EXPONENT
+                if clipped.any():
+                    head[clipped] = 0.0
+            remaining = 1.0 - float(head.sum())
+            # Property [B]: the last event takes the remaining mass.
+            if remaining < 0.0:
+                remaining = 0.0
+            elif remaining > 1.0:
+                remaining = 1.0
+        else:
+            remaining = 1.0
+        probs[m] = remaining
+        if i >= 2:
+            base[m] = remaining
+
+        column = values_t[m, :i]
+        if saturated:
+            # P = 0 events must not contribute even when their conditional
+            # expectation saturated to inf (0 * inf would be NaN).
+            mask = probs > 0.0
+            expected_xi = float(probs[mask] @ column[mask])
+        else:
+            expected_xi = float(probs @ column)
+        expected_times.append(expected_xi)
+        if probabilities is not None:
+            probabilities.append(tuple(float(p) for p in probs))
+
+        # Advance the running prefix sums so that, at the next iteration,
+        # running[k] covers j = k+1 .. i.
+        running[:i] += neg_loss_t[i, :i]
+        running[:i] += neg_terms[m]
+
+    return expected_times, probabilities
 
 
 def eager_batch_makespans(workflow, order, sets, platform) -> list[float]:

@@ -34,7 +34,6 @@ True
 
 from .core import (
     BACKEND_REGISTRY,
-    EVAL_BACKENDS,
     Backend,
     BackendRegistry,
     BackendSpec,
@@ -83,7 +82,6 @@ __all__ = [
     "BackendRegistry",
     "BackendSpec",
     "CycleError",
-    "EVAL_BACKENDS",
     "HEURISTIC_NAMES",
     "HeuristicResult",
     "LostWork",

@@ -8,7 +8,6 @@ polynomial-time expected-makespan evaluator of Theorem 3.
 
 from .backend import (
     BACKEND_REGISTRY,
-    EVAL_BACKENDS,
     Backend,
     BackendRegistry,
     BackendSpec,
@@ -17,7 +16,6 @@ from .backend import (
 )
 from .dag import CycleError, Workflow, WorkflowStructure
 from .evaluator import MakespanEvaluation, evaluate_schedule, expected_makespan
-from .evaluator_np import batch_evaluate
 from .expectation import (
     expected_execution_time,
     expected_number_of_failures,
@@ -27,7 +25,7 @@ from .expectation import (
 from .lost_work import LostWork, compute_lost_work, lost_and_needed_tasks
 from .platform import Platform, PlatformSpec
 from .schedule import Schedule
-from .sweep import SweepState, SweepStats
+from .sweep import SweepState, SweepStats, batch_evaluate
 from .task import Task
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "BackendRegistry",
     "BackendSpec",
     "CycleError",
-    "EVAL_BACKENDS",
     "LostWork",
     "MakespanEvaluation",
     "Platform",

@@ -1,15 +1,23 @@
 """Pluggable evaluation-backend registry.
 
-The Theorem-3 evaluator exists in three implementations that compute the
-same quantity:
+The Theorem-3 evaluator exists as a python oracle plus one incremental
+array engine with two kernel providers:
 
 * ``"python"`` — the always-available reference loop of
   :mod:`repro.core.evaluator`, kept deliberately close to the paper's
   notation;
-* ``"numpy"`` — the vectorized kernel of :mod:`repro.core.evaluator_np`;
-* ``"native"`` — the compiled C kernel of
-  :mod:`repro.core.evaluator_native`, built on first use when a C
-  toolchain is present.
+* ``"numpy"`` — the incremental engine of :mod:`repro.core.sweep`
+  (:class:`~repro.core.sweep.SweepState`) running its own vectorized
+  Algorithm-1 fill and Theorem-3 recursion;
+* ``"native"`` — the same engine with the fill and the recursion swapped
+  for the compiled C kernels of :mod:`repro.core.evaluator_native`, built
+  on first use when a C toolchain is present.
+
+A one-shot evaluation on either array backend is a sweep of length one
+(:func:`repro.core.sweep.evaluate_one_shot`), so sweep and one-shot results
+agree bit for bit by construction.  The diagnostic outputs of
+:func:`repro.core.evaluator.evaluate_schedule` (the probability table and a
+caller-supplied lost-work array) are always served by the python oracle.
 
 All of them saturate overflows at the same
 :data:`repro.core.expectation.OVERFLOW_EXPONENT` and agree within
@@ -50,22 +58,19 @@ A named backend that exists but lacks the *required capability* falls back
 to the automatic choice among capable backends (so ``backend="native"``
 keeps working on a Monte-Carlo call instead of erroring); a named backend
 that is *unavailable* on this machine raises a clear :class:`ValueError`.
-
-:func:`resolve_backend` and :data:`EVAL_BACKENDS` are kept as thin
-deprecated shims over the registry so pre-registry call sites (and cached
-campaign configurations naming a backend) keep working unchanged.
+:func:`resolve_backend` returns the resolved *name* — the form campaign
+runners and sweep states store and validate.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .evaluator import MakespanEvaluation
     from .evaluator_native import NativeKernels
-    from .lost_work import LostWork
     from .platform import Platform
     from .schedule import Schedule
     from .dag import Workflow
@@ -77,7 +82,6 @@ __all__ = [
     "Backend",
     "BackendRegistry",
     "BackendSpec",
-    "EVAL_BACKENDS",
     "numpy_available",
     "resolve_backend",
 ]
@@ -141,8 +145,8 @@ class Backend:
         Zero-argument callable returning a human-readable reason when the
         probe fails (used by diagnostics such as ``repro backends``).
     evaluate:
-        ``(schedule, platform, *, lost_work=None, keep_probabilities=False)
-        -> MakespanEvaluation``; required for the ``"evaluate"`` capability.
+        ``(schedule, platform) -> MakespanEvaluation``; required for the
+        ``"evaluate"`` capability.
         Looked up lazily so registering a backend never imports its
         implementation module.
     sweep_kernels:
@@ -188,24 +192,14 @@ class Backend:
         return f"the {self.name} backend is not available in this process"
 
     def evaluate(
-        self,
-        schedule: "Schedule",
-        platform: "Platform",
-        *,
-        lost_work: Any = None,
-        keep_probabilities: bool = False,
+        self, schedule: "Schedule", platform: "Platform"
     ) -> "MakespanEvaluation":
         """One-shot Theorem-3 evaluation through this backend."""
         if self._evaluate is None:
             raise ValueError(
                 f"backend {self.name!r} does not implement 'evaluate'"
             )
-        return self._evaluate(
-            schedule,
-            platform,
-            lost_work=lost_work,
-            keep_probabilities=keep_probabilities,
-        )
+        return self._evaluate(schedule, platform)
 
     def batch_evaluate(
         self,
@@ -221,7 +215,7 @@ class Backend:
         Default implementation: the shared incremental sweep engine pinned
         to this backend (which is how all built-in backends batch).
         """
-        from .evaluator_np import batch_evaluate as _batch
+        from .sweep import batch_evaluate as _batch
 
         return _batch(
             workflow,
@@ -448,55 +442,22 @@ class BackendRegistry:
 # Built-in backends
 # ----------------------------------------------------------------------
 def _python_evaluate(
-    schedule: "Schedule",
-    platform: "Platform",
-    *,
-    lost_work: "LostWork | None" = None,
-    keep_probabilities: bool = False,
+    schedule: "Schedule", platform: "Platform"
 ) -> "MakespanEvaluation":
     from .evaluator import evaluate_schedule
 
-    return evaluate_schedule(
-        schedule,
-        platform,
-        lost_work=lost_work,
-        keep_probabilities=keep_probabilities,
-        backend="python",
-    )
+    return evaluate_schedule(schedule, platform, backend="python")
 
 
-def _numpy_evaluate(
-    schedule: "Schedule",
-    platform: "Platform",
-    *,
-    lost_work: "LostWork | None" = None,
-    keep_probabilities: bool = False,
-) -> "MakespanEvaluation":
-    from .evaluator_np import evaluate_schedule_numpy
+def _sweep_evaluate(name: str) -> Callable[..., "MakespanEvaluation"]:
+    """The one-shot entry of an array backend: a sweep of length one."""
 
-    return evaluate_schedule_numpy(
-        schedule,
-        platform,
-        lost_work=lost_work,
-        keep_probabilities=keep_probabilities,
-    )
+    def evaluate(schedule: "Schedule", platform: "Platform") -> "MakespanEvaluation":
+        from .sweep import evaluate_one_shot
 
+        return evaluate_one_shot(schedule, platform, backend=name)
 
-def _native_evaluate(
-    schedule: "Schedule",
-    platform: "Platform",
-    *,
-    lost_work: "LostWork | None" = None,
-    keep_probabilities: bool = False,
-) -> "MakespanEvaluation":
-    from .evaluator_native import evaluate_schedule_native
-
-    return evaluate_schedule_native(
-        schedule,
-        platform,
-        lost_work=lost_work,
-        keep_probabilities=keep_probabilities,
-    )
+    return evaluate
 
 
 def _native_ok() -> bool:
@@ -535,7 +496,7 @@ BACKEND_REGISTRY.register(
         min_auto_tasks=AUTO_NUMPY_MIN_TASKS,
         available=numpy_available,
         unavailable_reason=lambda: "numpy is not importable",
-        evaluate=_numpy_evaluate,
+        evaluate=_sweep_evaluate("numpy"),
     )
 )
 BACKEND_REGISTRY.register(
@@ -546,31 +507,19 @@ BACKEND_REGISTRY.register(
         min_auto_tasks=AUTO_NUMPY_MIN_TASKS,
         available=_native_ok,
         unavailable_reason=_native_reason,
-        evaluate=_native_evaluate,
+        evaluate=_sweep_evaluate("native"),
         sweep_kernels=_native_kernels,
     )
 )
 
 
-# ----------------------------------------------------------------------
-# Deprecated shims (pre-registry API)
-# ----------------------------------------------------------------------
-#: Deprecated: the built-in ``backend=`` values, frozen at import time.
-#: Prefer ``BACKEND_REGISTRY.choices()``, which also reflects backends
-#: registered later (entry points, tests, plugins).
-EVAL_BACKENDS: tuple[str, ...] = ("auto", "python", "numpy", "native")
-
-
 def resolve_backend(
     backend: "BackendSpec | str | None" = None, *, n_tasks: int | None = None
 ) -> str:
-    """Deprecated shim: resolve a backend request to a concrete *name*.
+    """Resolve a backend request to a concrete backend *name*.
 
-    Pre-registry call sites used the returned string to pick an
-    implementation by hand; new code should call
-    ``BACKEND_REGISTRY.resolve(...)`` and use the returned
-    :class:`Backend` object directly.  Kept because the name is also a
-    convenient validator (campaign runners resolve eagerly so a typoed
-    ``--backend`` fails before any cache lookup).
+    The name form of ``BACKEND_REGISTRY.resolve(...)``: campaign runners
+    resolve eagerly so a typoed ``--backend`` fails before any cache
+    lookup, and sweep states record the name they were pinned to.
     """
     return BACKEND_REGISTRY.resolve(backend, n_tasks=n_tasks).name

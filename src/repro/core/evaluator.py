@@ -115,9 +115,10 @@ def evaluate_schedule(
     lost_work:
         Pre-computed :class:`~repro.core.lost_work.LostWork` arrays for this
         schedule; useful when evaluating many platforms for one schedule.
+        Always evaluated by the python reference below.
     keep_probabilities:
         When true, the full :math:`P(Z^i_k)` table is attached to the result
-        (quadratic memory).
+        (quadratic memory).  Always served by the python reference below.
     backend:
         A registered backend name (``"auto"`` / ``"python"`` / ``"numpy"``
         / ``"native"`` / ...), a :class:`~repro.core.backend.BackendSpec`,
@@ -140,13 +141,8 @@ def evaluate_schedule(
     # (within floating-point noise — the property tests pin the bound).
     if n > 0 and lam != 0.0:
         resolved = BACKEND_REGISTRY.resolve(backend, n_tasks=n)
-        if resolved.name != "python":
-            return resolved.evaluate(
-                schedule,
-                platform,
-                lost_work=lost_work,
-                keep_probabilities=keep_probabilities,
-            )
+        if resolved.name != "python" and lost_work is None and not keep_probabilities:
+            return resolved.evaluate(schedule, platform)
 
     weights = [workflow.task(t).weight for t in order]
     ckpt_costs = [

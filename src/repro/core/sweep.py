@@ -1,12 +1,11 @@
-"""Incremental (delta) evaluation engine for checkpoint-set sweeps.
+"""The array engine of the Theorem-3 evaluator: incremental checkpoint sweeps.
 
 Every optimisation layer of this reproduction — the paper's ``N = 1..n-1``
 checkpoint-count search (Section 5), greedy construction, and local-search
 refinement — evaluates a *sweep of near-identical candidates*: consecutive
 candidate sets differ by a handful of checkpoint toggles over one fixed
 linearization.  Re-running the full Algorithm-1 fill and Theorem-3 recursion
-per candidate (what :func:`repro.core.evaluator_np.batch_evaluate` did before
-this module existed) throws that structure away.
+per candidate throws that structure away.
 
 :class:`SweepState` keeps the whole evaluation pipeline materialised between
 candidates and recomputes only what a toggle can actually change.  Three
@@ -26,18 +25,30 @@ structural facts make the delta small:
   history of the running sums.
 
 The reused prefixes and the recomputed suffixes both apply the exact floating
-point operation sequence of the one-shot kernel to bitwise-identical inputs,
-so a :class:`SweepState` evaluation is **bit-for-bit equal** to a fresh
-:func:`repro.core.evaluator_np.evaluate_schedule_numpy` call (the property
-suite in ``tests/test_backend_equivalence.py`` pins this).  The only regime
-that defeats prefix reuse is overflow saturation (``inf`` conditional
-expectations switch the kernel to masked dot products); the engine detects it
-and falls back to a full kernel re-run for exactly those evaluations.
+point operation sequence of a full recompute to bitwise-identical inputs, so
+an incremental evaluation is **bit-for-bit equal** to the first evaluation of
+a fresh state (the property suite in ``tests/test_backend_equivalence.py``
+pins this).  The only regime that defeats prefix reuse is overflow
+saturation (``inf`` conditional expectations switch the kernel to masked dot
+products); the engine detects it and falls back to a full kernel re-run for
+exactly those evaluations.
+
+A one-shot evaluation is simply a sweep of length one
+(:func:`evaluate_one_shot`): the numpy and native backends both serve
+``evaluate_schedule`` through it, with the two kernel providers differing
+only in who runs the fill and the recursion (the numpy phases below, or the
+compiled kernels of :mod:`repro.core.evaluator_native`).  Sweep == one-shot
+therefore holds by construction on every backend.  :func:`batch_evaluate` is
+the thin front door the count search and the refinement sweeps use.
 
 Arbitrary candidate batches degrade gracefully: the cost of an evaluation is
 proportional to the suffix behind the *lowest* toggled position, so a batch of
 unrelated sets simply pays full-recompute cost — no separate eager fallback
 path is needed, and callers never have to classify their batches.
+
+Import of :mod:`numpy` is deferred to the first array evaluation so that
+``repro.core`` stays importable without it; the backend registry never
+routes here when NumPy is missing.
 """
 
 from __future__ import annotations
@@ -47,18 +58,17 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .backend import BACKEND_REGISTRY, resolve_backend
 from .evaluator import MakespanEvaluation
-from .evaluator_np import _SMALL_EXPOSURE
 from .expectation import OVERFLOW_EXPONENT
 from .lost_work import _position_tables
 from .platform import Platform
 from .dag import Workflow
 from .schedule import Schedule
 
-__all__ = ["SweepState", "SweepStats"]
+__all__ = ["SweepState", "SweepStats", "batch_evaluate", "evaluate_one_shot"]
 
 #: Scratch budget of one bulk-fill chunk (bytes per mask buffer).  Rows are
 #: priced independently, so chunking only bounds peak memory — it cannot
@@ -95,6 +105,107 @@ def _byte_bit_table(np: Any) -> Any:
             np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
         )
     return _BYTE_BITS
+
+
+#: Exposure threshold below which Equation (1) returns the failure-free
+#: duration — mirrors the guard in ``expected_execution_time`` exactly.
+_SMALL_EXPOSURE = 1e-12
+
+
+# ----------------------------------------------------------------------
+# Algorithm-1 value canon (candidate-pruned, closure-bitmask form)
+# ----------------------------------------------------------------------
+def _candidate_lists(n: int, predecessors: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """For every ``k``, the positions ``i >= k`` that can charge anything.
+
+    A failure during :math:`X_k` costs something at position ``i`` only if the
+    traversal from ``T_i`` reaches below ``k`` — which requires a *direct*
+    predecessor at a position ``< k``.  Position ``i`` therefore matters
+    exactly for ``k`` in ``(min_pred[i], i]``; everything else is a
+    structural zero.
+    """
+    cands: list[list[int]] = [[] for _ in range(n + 2)]
+    for i in range(1, n + 1):
+        preds = predecessors[i]
+        if not preds:
+            continue
+        for k in range(preds[0] + 1, i + 1):
+            cands[k].append(i)
+    return cands
+
+
+def _closure_masks(
+    n: int,
+    predecessors: Sequence[tuple[int, ...]],
+    checkpointed: Sequence[int],
+) -> tuple[list[int], list[int]]:
+    """Per-position traversal bitmasks: ``(closures, frontiers)``.
+
+    ``closures[p]`` contains ``p`` itself plus, when ``p`` is *not*
+    checkpointed, the closure of every direct predecessor — i.e. everything
+    Algorithm 1 walks when the output of position ``p`` is needed and nothing
+    has been regenerated yet.  Checkpointed positions stop the recursion:
+    they are recovered from disk, so their own inputs are never needed.
+    ``frontiers[p]`` is the union of the direct predecessors' closures
+    regardless of ``p``'s own checkpoint state — the set a failure traversal
+    *starting* at ``p`` visits.  Predecessors sit at smaller positions in a
+    linearization, so one ascending pass computes both.
+
+    The visited set of candidate ``i`` in row ``k`` is then the union of its
+    direct predecessors' closures below ``k`` minus everything earlier
+    candidates regenerated: the regenerated set is closed under predecessor
+    descent, so no graph walk per pair is needed.
+    """
+    closures = [0] * (n + 1)
+    frontiers = [0] * (n + 1)
+    for p in range(1, n + 1):
+        frontier = 0
+        for q in predecessors[p]:
+            frontier |= closures[q]
+        frontiers[p] = frontier
+        closures[p] = (1 << p) | (0 if checkpointed[p] else frontier)
+    return closures, frontiers
+
+
+def _iter_bits(mask: int) -> Iterator[int]:
+    """Yield the set bit positions of ``mask`` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _charge_lut(np: Any, charge_bits: Any) -> Any:
+    """Per-byte charge lookup table — the first half of the value canon.
+
+    ``charge_bits`` holds one charge per bit position (zero-padded to
+    ``8 * mask_bytes``); the result is a ``(mask_bytes, 256)`` float64 table
+    whose ``[b, v]`` entry is the canonical charge sum of byte value ``v``
+    at byte position ``b`` (a fixed-width-8 numpy reduction).  Incremental
+    maintainers must rebuild a row with the identical expression
+    (``(byte_bits * charge_bits[8 * b : 8 * b + 8]).sum(axis=1)``) so cached
+    and freshly built tables stay bit-identical.
+    """
+    mask_bytes = charge_bits.shape[0] // 8
+    byte_bits = _byte_bit_table(np)
+    return (byte_bits * charge_bits.reshape(mask_bytes, 1, 8)).sum(axis=2)
+
+
+def _mask_charges(np: Any, mask_rows: Any, charge_lut: Any) -> Any:
+    """Charge sums of visited-set bitmask rows (the shared value canon).
+
+    ``mask_rows`` is a ``(m, mask_bytes)`` uint8 matrix of little-endian
+    visited bitmasks, every row non-empty; the result is the float64 vector
+    of per-row charge sums.  Each row is priced by gathering its bytes'
+    precomputed charges from :func:`_charge_lut` and reducing them with
+    numpy's pairwise summation over the fixed width ``mask_bytes``, which
+    depends only on that width — never on ``m`` or on neighbouring rows —
+    so the same visited set gets the bit-identical float whichever refill
+    batch prices it.  This is what lets incremental refills (in whatever
+    grouping the delta produces) match a full recompute bit for bit.
+    """
+    per_byte = charge_lut[np.arange(charge_lut.shape[0]), mask_rows]
+    return per_byte.sum(axis=1)
 
 
 class _InstanceTables:
@@ -143,8 +254,6 @@ class _InstanceTables:
     )
 
     def __init__(self, workflow: Workflow, order: tuple[int, ...], np: Any) -> None:
-        from .evaluator_np import _candidate_lists
-
         self.workflow = workflow
         self.order = order
         n = len(order)
@@ -161,9 +270,8 @@ class _InstanceTables:
         self.cand_len = np.asarray([len(c) for c in self.candidates], dtype=np.intp)
         self.m_max = max((len(c) for c in self.candidates), default=0)
         # Masks are padded to whole 64-bit words: the bitwise pipeline runs
-        # on uint64 matrices (8x fewer elements than bytes), and the width
-        # matches the one-shot fill of ``evaluate_schedule_numpy`` so the
-        # shared value canon sees identical rows.
+        # on uint64 matrices (8x fewer elements than bytes), and the fixed
+        # width is what the value canon's reductions depend on.
         self.mask_bytes = ((n + 64) // 64) * 8
         self.mask_words = self.mask_bytes // 8
         self.weights = np.asarray(weight[1:], dtype=np.float64)
@@ -406,11 +514,7 @@ class SweepState:
 
         import numpy as np
 
-        from .evaluator_np import _charge_lut, _iter_bits, _mask_charges
-
         self._np = np
-        self._iter_bits = _iter_bits
-        self._mask_charges = _mask_charges
         # Compiled fill/kernel bindings when the resolved backend provides
         # them (the native backend); None keeps the numpy phases.
         self._kernels = BACKEND_REGISTRY.get(self.backend).sweep_kernels()
@@ -441,8 +545,8 @@ class SweepState:
 
         # The delta-only tables (ancestor / reachability / descendant
         # bitmasks and the row-content cache) are built lazily on the first
-        # *incremental* evaluation — a one-shot evaluation (the
-        # ``evaluate_schedule_numpy`` fast path) never needs them.  They may
+        # *incremental* evaluation — a one-shot evaluation
+        # (:func:`evaluate_one_shot`) never needs them.  They may
         # already exist on the shared entry from an earlier state.
         self._row_reach: list[int] | None = tables.row_reach
         self._desc: list[int] | None = tables.desc
@@ -516,8 +620,8 @@ class SweepState:
         self._loss_t = np.zeros((n + 1, n + 1))
         # -lam-scaled mirror of loss_t: the numpy Theorem-3 recursion
         # accumulates pre-scaled running sums (one np.exp per position, no
-        # per-iteration multiply), exactly like the one-shot kernel.  The C
-        # kernel rescales inline, so the mirror is numpy-only.
+        # per-iteration multiply).  The C kernel rescales inline, so the
+        # mirror is numpy-only.
         self._neg_loss_t = (
             np.zeros((n + 1, n + 1)) if self._kernels is None else None
         )
@@ -714,7 +818,7 @@ class SweepState:
         cwords = self._cwords
         pfbase = self._pfbase
         pf_flat = self._pf_flat
-        for p in self._iter_bits(affected):
+        for p in _iter_bits(affected):
             preds = predecessors[p]
             base = pfbase[p]
             if base >= 0:
@@ -749,14 +853,11 @@ class SweepState:
         """Derive every traversal mask for the current configuration.
 
         The full-rebuild twin of :meth:`_update_masks` (used by the first
-        evaluation): the big-int recursion is the shared
-        :func:`~repro.core.evaluator_np._closure_masks` (single source of
-        truth with the one-shot fill), the byte mirrors are flushed in two
-        bulk assignments, and the prefix-closure table is then rebuilt
-        vectorized from the flushed closure rows.
+        evaluation): the big-int recursion is :func:`_closure_masks`, the
+        byte mirrors are flushed in two bulk assignments, and the
+        prefix-closure table is then rebuilt vectorized from the flushed
+        closure rows.
         """
-        from .evaluator_np import _closure_masks
-
         np = self._np
         n = self._n
         mask_bytes = self._mask_bytes
@@ -819,8 +920,6 @@ class SweepState:
         its entries are keyed by the relevant configuration and remain
         valid.)
         """
-        from .evaluator_np import _charge_lut
-
         n = self._n
         self._checkpointed[:] = bytes(n + 1)
         self._ckpt_bits = 0
@@ -851,8 +950,8 @@ class SweepState:
         consecutive prefix rows (``P_j = P_{j-1} | F_j`` makes the fresh
         bits ``P_j ^ P_{j-1}`` — the vectorized ``F_j & ~regenerated``).
         Values come from the shared :func:`_mask_charges` canon, so they are
-        bit-identical to the one-shot fill of ``evaluate_schedule_numpy``;
-        cache restores are bitwise exact for the same reason.
+        bit-identical to a full recompute's fill of the same rows; cache
+        restores are bitwise exact for the same reason.
         """
         np = self._np
         loss_t = self._loss_t
@@ -996,7 +1095,7 @@ class SweepState:
             np.bitwise_xor(acc[:, 1:], acc[:, :-1], out=visited[:, 1:])
         rowsel, slotsel = np.nonzero(visited.any(axis=2))
         if rowsel.size:
-            vals = self._mask_charges(
+            vals = _mask_charges(
                 np, visited[rowsel, slotsel].view(np.uint8), self._charge_lut
             )
             cols = idx[rowsel, slotsel]
@@ -1123,7 +1222,7 @@ class SweepState:
         # conditional-expectation matrix (changed loss entries have i >= k >
         # pivot; the changed checkpoint costs are at positions >= pivot), so
         # one slab recompute over rows pivot-1.. of values_t restores the
-        # exact state a full one-shot computation would produce.
+        # exact state a full recompute would produce.
         lo = pivot
         m0 = lo - 1
         loss_t = self._loss_t
@@ -1166,8 +1265,8 @@ class SweepState:
         running_hist = self._running_hist
         probs_buf = self._probs_buf
         neg_loss_t = self._neg_loss_t
-        # Same pre-scaled accumulation as the one-shot kernel: running sums
-        # carry -lam * (loss + terms), so each position needs one np.exp.
+        # Pre-scaled accumulation: running sums carry -lam * (loss + terms),
+        # so each position needs one np.exp.
         neg_terms = (self._weights + self._ckpt_costs) * -lam
         values_t = self._values_t
         expected_times = self._expected_times
@@ -1256,3 +1355,79 @@ class SweepState:
             ),
             failure_free_work=self._failure_free_work,
         )
+
+
+# ----------------------------------------------------------------------
+# Front doors: one-shot evaluation and batched sweeps
+# ----------------------------------------------------------------------
+def evaluate_one_shot(
+    schedule: Schedule, platform: Platform, *, backend: str
+) -> MakespanEvaluation:
+    """Evaluate one schedule on an array backend: a sweep of length one.
+
+    This is what ``evaluate_schedule(..., backend="numpy" | "native")``
+    runs.  It builds a fresh :class:`SweepState` pinned to ``backend`` and
+    evaluates the schedule's checkpoint set once, so a one-shot result is
+    bit-for-bit the value any sweep reaching the same set reports (the
+    contract the search and refinement layers rely on when they re-evaluate
+    a sweep winner).  The schedule's own ``failure_free_makespan`` is kept
+    instead of the state's running-cost sum, which may differ in the last
+    bit.
+    """
+    state = SweepState(schedule.workflow, schedule.order, platform, backend=backend)
+    evaluation = state.evaluate(schedule.checkpointed)
+    return replace(evaluation, failure_free_makespan=schedule.failure_free_makespan)
+
+
+def batch_evaluate(
+    workflow: Workflow,
+    order: Sequence[int],
+    checkpoint_sets: Iterable[Iterable[int]],
+    platform: Platform,
+    *,
+    backend: str | None = None,
+    keep_task_times: bool = True,
+) -> list[MakespanEvaluation]:
+    """Score many checkpoint sets over one fixed linearization.
+
+    This is the sweep primitive behind the checkpoint-count search and the
+    refinement local moves: every candidate shares the same workflow and
+    ``order``, so the position / predecessor / candidate tables (and the
+    order's linearization check) are derived once instead of per candidate,
+    and each candidate is evaluated incrementally by one :class:`SweepState`.
+
+    Parameters
+    ----------
+    workflow, order, platform:
+        The instance; ``order`` must be a valid linearization of ``workflow``.
+    checkpoint_sets:
+        Iterable of checkpoint sets (task indices).  One
+        :class:`~repro.core.evaluator.MakespanEvaluation` is returned per
+        set, in input order.
+    backend:
+        ``"auto"`` / ``"python"`` / ``"numpy"`` / ``"native"``; see
+        :func:`repro.core.backend.resolve_backend`.  The Python path simply
+        evaluates one :class:`~repro.core.schedule.Schedule` per set and is
+        the reference the array paths are tested against.
+    keep_task_times:
+        When ``False``, the returned evaluations carry an empty
+        ``expected_task_times`` tuple.  Sweeps that only rank candidates by
+        ``expected_makespan`` (the count search, refinement toggles) pass
+        ``False`` so a batch of ``n`` candidates costs O(n) rather than
+        O(n^2) retained floats; re-evaluate the winner for the full vector.
+    """
+    order = tuple(int(i) for i in order)
+    sets = [frozenset(int(i) for i in selected) for selected in checkpoint_sets]
+    state = SweepState(workflow, order, platform, backend=backend)
+    if state.is_incremental:
+        # Validate every set up front (the incremental path otherwise raises
+        # mid-batch, after earlier sets were already evaluated).
+        for selected in sets:
+            invalid = [i for i in selected if not 0 <= i < workflow.n_tasks]
+            if invalid:
+                raise ValueError(
+                    f"checkpointed contains invalid task indices: {sorted(invalid)}"
+                )
+    return [
+        state.evaluate(selected, keep_task_times=keep_task_times) for selected in sets
+    ]

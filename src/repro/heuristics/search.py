@@ -71,9 +71,12 @@ def candidate_counts(
         Number of tasks in the workflow.
     mode:
         ``"exhaustive"`` — every value ``1 .. n`` (the paper searches
-        ``1 .. n-1``; including ``n`` — i.e. the CkptAlws set — costs one more
-        evaluation and guarantees the parameterised strategies never lose to
-        the checkpoint-everything baseline);
+        ``1 .. n-1``; including ``n`` costs one more evaluation).  For the
+        top-``N`` strategies ``CkptW``, ``CkptC`` and ``CkptD``, ``N = n``
+        selects every task — the CkptAlws set — so they never lose to the
+        checkpoint-everything baseline.  ``CkptPer`` carries no such
+        guarantee: at ``N = n`` it checkpoints one task per period boundary,
+        i.e. at most ``n - 1`` tasks;
         ``"geometric"`` — at most ``max_candidates`` values spread geometrically
         over ``1 .. n`` (used to keep large benchmark sweeps affordable).
     max_candidates:

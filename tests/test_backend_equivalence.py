@@ -1,11 +1,12 @@
 """Python / NumPy evaluation-backend equivalence (property-based).
 
-The NumPy fast path of :mod:`repro.core.evaluator_np` must be a pure
-performance knob: on any instance it has to agree with the pure-Python
-reference of :mod:`repro.core.evaluator` within floating-point noise (1e-9
-relative), bit-for-bit on the shared trivial cases (``lambda = 0``, empty
-schedules), and cache keys must not depend on the backend so that a warm
-cache serves both.
+The NumPy backend (the incremental engine of :mod:`repro.core.sweep`) must
+be a pure performance knob: on any instance it has to agree with the
+pure-Python reference of :mod:`repro.core.evaluator` within floating-point
+noise (1e-9 relative), bit-for-bit on the shared trivial cases
+(``lambda = 0``, empty schedules) and on the diagnostic paths the reference
+serves for every backend, and cache keys must not depend on the backend so
+that a warm cache serves both.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    EVAL_BACKENDS,
     Platform,
     Schedule,
     SweepState,
@@ -117,20 +117,30 @@ class TestBackendEquivalence:
 
     @given(data=random_instance())
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
-    def test_probability_tables_agree(self, data):
+    def test_diagnostic_paths_are_the_python_reference(self, data):
+        """``keep_probabilities=True`` and a caller-supplied ``lost_work`` are
+        answered by the python reference whatever backend is requested, so
+        the results are bit-for-bit the ``backend="python"`` ones."""
+        from repro.core.evaluator_native import native_available
+
         _, schedule, platform = data
-        py = evaluate_schedule(
+        lw = compute_lost_work(schedule)
+        with_probs = evaluate_schedule(
             schedule, platform, backend="python", keep_probabilities=True
         )
-        np_ = evaluate_schedule(
-            schedule, platform, backend="numpy", keep_probabilities=True
-        )
-        assert py.event_probabilities is not None
-        assert np_.event_probabilities is not None
-        for row_py, row_np in zip(py.event_probabilities, np_.event_probabilities):
-            assert len(row_py) == len(row_np)
-            for a, b in zip(row_py, row_np):
-                assert abs(a - b) <= 1e-9
+        with_lw = evaluate_schedule(schedule, platform, backend="python", lost_work=lw)
+        assert with_probs.event_probabilities is not None
+        for backend in ("numpy", "native") if native_available() else ("numpy",):
+            assert (
+                evaluate_schedule(
+                    schedule, platform, backend=backend, keep_probabilities=True
+                )
+                == with_probs
+            )
+            assert (
+                evaluate_schedule(schedule, platform, backend=backend, lost_work=lw)
+                == with_lw
+            )
 
     @given(data=random_instance())
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
@@ -350,7 +360,6 @@ class TestBackendResolution:
         return "native" if native_available() else "numpy"
 
     def test_known_names(self):
-        assert set(EVAL_BACKENDS) == {"auto", "python", "numpy", "native"}
         assert resolve_backend("python") == "python"
         assert resolve_backend("numpy") == "numpy"  # numpy installed in CI
 

@@ -24,7 +24,6 @@ from repro.core.backend import (
     Backend,
     BackendRegistry,
     BackendSpec,
-    EVAL_BACKENDS,
     resolve_backend,
 )
 
@@ -254,8 +253,7 @@ class TestGlobalRegistry:
         assert "monte_carlo" not in native.capabilities
         assert {"evaluate", "batch_evaluate", "sweep"} <= native.capabilities
 
-    def test_deprecated_shims(self):
-        assert EVAL_BACKENDS == ("auto", "python", "numpy", "native")
+    def test_resolve_backend_returns_names(self):
         assert resolve_backend("python") == "python"
         with pytest.raises(ValueError, match="unknown evaluation backend"):
             resolve_backend("fortran")

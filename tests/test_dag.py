@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
@@ -235,6 +240,24 @@ class TestNetworkxInterop:
         wf = Workflow.from_networkx(graph)
         assert wf.total_weight == pytest.approx(10.0)
         assert wf.n_edges == 1
+
+    def test_cli_import_does_not_load_networkx(self):
+        # networkx is imported by the two interop methods only, so it never
+        # costs a CLI start (or a worker spawn) anything.
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli; print('networkx' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            cwd=root,
+            check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestEquality:

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro import HEURISTIC_NAMES, Platform, evaluate_schedule, solve_all_heuristics, solve_heuristic
-from repro.heuristics import best_heuristic, parse_heuristic_name
+from repro.heuristics import (
+    best_heuristic,
+    checkpoint_periodic,
+    linearize,
+    parse_heuristic_name,
+    search_checkpoint_count,
+)
 from repro.workflows import pegasus
 
 
@@ -69,12 +75,25 @@ class TestSolveHeuristic:
         assert result.checkpoint_count == 0
         assert result.linearization == "BF"
 
-    def test_search_improves_on_baselines(self, workflow, platform):
-        ckptw = solve_heuristic(workflow, platform, "DF-CkptW")
+    @pytest.mark.parametrize("heuristic", ["DF-CkptW", "DF-CkptC", "DF-CkptD"])
+    def test_search_improves_on_baselines(self, workflow, platform, heuristic):
+        # N = n selects every task for the top-N strategies, so the
+        # exhaustive search contains the CkptAlws set.
+        searched = solve_heuristic(workflow, platform, heuristic)
         never = solve_heuristic(workflow, platform, "DF-CkptNvr")
         always = solve_heuristic(workflow, platform, "DF-CkptAlws")
-        assert ckptw.expected_makespan <= never.expected_makespan + 1e-9
-        assert ckptw.expected_makespan <= always.expected_makespan + 1e-9
+        assert searched.expected_makespan <= never.expected_makespan + 1e-9
+        assert searched.expected_makespan <= always.expected_makespan + 1e-9
+
+    def test_periodic_search_bounded_by_its_own_candidates(self, workflow, platform):
+        # CkptPer selects at most n - 1 tasks at N = n, so CkptAlws is not
+        # among its candidates: the search only beats what it evaluated.
+        order = linearize(workflow, "DF")
+        search = search_checkpoint_count(workflow, order, platform, checkpoint_periodic)
+        n = workflow.n_tasks
+        assert len(checkpoint_periodic(workflow, order, n)) <= n - 1
+        assert search.best_evaluation.expected_makespan <= search.evaluated[n] + 1e-9
+        assert search.best_evaluation.expected_makespan == min(search.evaluated.values())
 
     def test_failure_free_platform_avoids_checkpoints(self, workflow):
         result = solve_heuristic(workflow, Platform.failure_free(), "DF-CkptW")
